@@ -80,32 +80,19 @@ object MExI {
     out.result()
   }
 
-  /** Materializes sub-matcher histories/mouse-streams under their entity
-    * ids. Decision `seq` restarts at 0 inside a window; timestamps stay
-    * absolute (features only use gaps and spans). Mouse events are those
-    * within the window's time range.
+  /** A sub-matcher's history: its window of the parent's decisions under
+    * the entity id. Decision `seq` restarts at 0 inside the window;
+    * timestamps stay absolute (features only use gaps and spans).
     */
-  def sliceEntities(specs: Seq[WindowSpec],
-                    histories: Map[Long, Vector[Decision]],
-                    mouse: Map[Long, Vector[MouseEvent]])
-      : (Vector[Decision], Vector[MouseEvent]) = {
-    val decs = Vector.newBuilder[Decision]
-    val mice = Vector.newBuilder[MouseEvent]
-    for (s <- specs) {
-      val h = histories(s.matcherId).slice(s.start, s.start + s.size)
-      h.zipWithIndex.foreach { case (d, i) =>
-        decs += d.copy(matcherId = s.entityId, seq = i)
-      }
-      val t0 = h.head.ts; val t1 = h.last.ts
-      mouse.getOrElse(s.matcherId, Vector.empty).foreach { e =>
-        if (e.ts >= t0 - 1e-9 && e.ts <= t1 + 1e-9) mice += e.copy(matcherId = s.entityId)
-      }
+  def sliceDecisions(spec: WindowSpec, histories: Map[Long, Vector[Decision]]): Vector[Decision] =
+    histories(spec.matcherId).slice(spec.start, spec.start + spec.size).zipWithIndex.map {
+      case (d, i) => d.copy(matcherId = spec.entityId, seq = i)
     }
-    (decs.result(), mice.result())
-  }
 
   /** Builds the full training/testing feature tables and labels for one
-    * experiment split.
+    * experiment split. Beyond the study caches it submits no Spark job:
+    * consensus, sub-matcher labels and LSTM sequences are built on the
+    * driver from `historyByMatcher` (`spark` is unused; see DESIGN.md §4).
     *
     * @param trainH      study providing the training matchers
     * @param testH       study providing the test matchers (same handle for
@@ -122,33 +109,28 @@ object MExI {
               cfg: NeuralFeatures.Config = NeuralFeatures.Config(),
               sharedCnns: Option[Map[(String, Int), Cnn]] = None,
               seed: Long = 1234L): Prepared = {
-    import org.apache.spark.sql.functions.col
-    import spark.implicits._
-
     // Measures, thresholds (train population only), labels.
     val trainMeasures = trainIds.map(trainH.measures)
     val thresholds = Thresholds.fromTrain(trainMeasures)
     val trainMatcherLabels = Measures.characterize(trainMeasures, thresholds)
     val testLabels = Measures.characterize(testIds.map(testH.measures), thresholds)
 
+    def histories(h: StudyHandle, ids: Vector[Long]): Vector[(Long, Vector[Decision])] =
+      ids.flatMap(id => h.historyByMatcher.get(id).map(id -> _))
+    val trainHists = histories(trainH, trainIds)
+
     // Sub-matcher entities: per the paper, the augmentation windows exist
     // "to ensure sufficient data for a deep network" and are used only
     // during training — they feed the LSTMs, not the final classifier.
     val specs = windows(trainH.historyByMatcher, trainIds, windowSizes)
-    val (subDecs, _) = sliceEntities(specs, trainH.historyByMatcher, trainH.mouseByMatcher)
-    val subDecsDf = subDecs.toDF().cache()
+    val subHists = specs.map(s => s.entityId -> sliceDecisions(s, trainH.historyByMatcher))
 
     // Labels of sub-matchers come from their own sub-history against the
     // train thresholds (the measures are defined on any history).
-    val subLabels: Map[Long, Array[Boolean]] =
-      if (specs.isEmpty) Map.empty
-      else Measures.characterize(
-        Measures.compute(spark, subDecsDf, trainH.reference, trainH.study.task.reference.size),
-        thresholds)
-
-    // Consensus over the training matchers' final matrices (Section III-B).
-    val trainDecsDf = trainH.decisions.where(col("matcherId").isInCollection(trainIds)).cache()
-    val consensus = MatrixOps.consensus(trainDecsDf).cache()
+    val reference = trainH.study.task.reference.map(r => (r.aIdx, r.bIdx)).toSet
+    val subLabels = Measures.characterize(subHists.map { case (id, h) =>
+      Measures.ofHistory(id, h, reference, trainH.study.task.reference.size)
+    }, thresholds)
 
     // Base features of the train/test matchers from the study caches.
     val base: FeatureTable = FeatureTable(trainH.baseFeatures.names,
@@ -156,18 +138,19 @@ object MExI {
         testH.baseFeatures.rows.view.filterKeys(testIds.toSet).toMap)
 
     // Sequences for the LSTMs: train matchers + sub-matchers with the
-    // train-fold consensus. Consensus is unsupervised (it never touches
-    // the reference match), so test matchers on a *different* task use
-    // the agreement within their own population — feeding the PO-trained
-    // LSTM a pi channel on the same scale instead of all-zeros.
+    // train-fold consensus (Section III-B). Consensus is unsupervised (it
+    // never touches the reference match), so test matchers on a *different*
+    // task use the agreement within their own population — feeding the
+    // PO-trained LSTM a pi channel on the same scale instead of all-zeros.
+    val consensus = MatrixOps.consensusOf(trainHists.map(_._2))
     val nTrain = trainIds.size
-    val seqTrain = SeqFeatures.sequences(trainDecsDf, consensus, nTrain) ++
-      (if (specs.isEmpty) Map.empty
-       else SeqFeatures.sequences(subDecsDf, consensus, nTrain))
-    val testDecsDf = testH.decisions.where(col("matcherId").isInCollection(testIds))
+    def sequencesOf(hs: Vector[(Long, Vector[Decision])], cons: Map[(Int, Int), Int], n: Int) =
+      hs.map { case (id, h) => id -> SeqFeatures.sequence(h, cons, n) }.toMap
+    val seqTrain = sequencesOf(trainHists ++ subHists, consensus, nTrain)
+    val testHists = histories(testH, testIds)
     val seqTest =
-      if (testH eq trainH) SeqFeatures.sequences(testDecsDf, consensus, nTrain)
-      else SeqFeatures.sequences(testDecsDf, MatrixOps.consensus(testDecsDf), testIds.size)
+      if (testH eq trainH) sequencesOf(testHists, consensus, nTrain)
+      else sequencesOf(testHists, MatrixOps.consensusOf(testHists.map(_._2)), testIds.size)
     val seqs = seqTrain ++ seqTest
 
     // Neural models: LSTMs on matchers + windows; CNNs on training
@@ -187,8 +170,6 @@ object MExI {
         id -> (NeuralFeatures.seqVector(lstms, seqs.getOrElse(id, IndexedSeq.empty)) ++
           NeuralFeatures.spaVector(cnns, mapsOf(id), id))
       }.toMap)
-
-    subDecsDf.unpersist(); trainDecsDf.unpersist(); consensus.unpersist()
 
     Prepared(base.names ++ neural.names, trainIds, testIds,
       base ++ neural, trainMatcherLabels, testLabels, thresholds, cnns,

@@ -4,8 +4,9 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** Matching-matrix construction and match (sigma) extraction as DataFrame
-  * transformations (Section II-A2, Eq. 1).
+/** Matching-matrix construction and match (sigma) extraction (Section
+  * II-A2, Eq. 1): as DataFrame transformations for a whole population, and
+  * as driver-side kernels over one history for the per-fold inputs.
   */
 object MatrixOps {
 
@@ -44,4 +45,31 @@ object MatrixOps {
     sigma(decisions)
       .groupBy("aIdx", "bIdx")
       .agg(countDistinct("matcherId").as("consensus"))
+
+  /** Eq. 1 for one history: the latest decision per element pair, keyed by
+    * (aIdx, bIdx). Ties on ts break by seq, as in `finalMatrix`.
+    */
+  def finalEntries(history: Iterable[Decision]): Map[(Int, Int), Decision] = {
+    val latest = scala.collection.mutable.HashMap.empty[(Int, Int), Decision]
+    history.foreach { d =>
+      val k = (d.aIdx, d.bIdx)
+      if (latest.get(k).forall(c => d.ts > c.ts || (d.ts == c.ts && d.seq > c.seq)))
+        latest(k) = d
+    }
+    latest.toMap
+  }
+
+  /** Consensus pi of a population given as histories: per element pair, the
+    * number of histories whose final entry for it is > 0 (`consensus`
+    * counts the same from a DataFrame).
+    */
+  def consensusOf(histories: Iterable[Iterable[Decision]]): Map[(Int, Int), Int] = {
+    val counts = scala.collection.mutable.HashMap.empty[(Int, Int), Int]
+    histories.foreach { h =>
+      finalEntries(h).foreach { case (k, d) =>
+        if (d.conf > 0.0) counts(k) = counts.getOrElse(k, 0) + 1
+      }
+    }
+    counts.toMap
+  }
 }

@@ -5,7 +5,9 @@ import org.apache.spark.sql.functions._
 import repro.ml.Stats
 
 /** The four expertise measures of Section II-B, computed per matcher as a
-  * distributed aggregation over the decision history and reference match.
+  * distributed aggregation over the decision history and reference match
+  * (`compute`, the population ETL), or on the driver for one entity's
+  * history (`ofHistory`, the sub-matcher windows). Both end in `fromSigma`.
   */
 object Measures {
 
@@ -34,18 +36,40 @@ object Measures {
     val histConf = decisions.groupBy("matcherId")
       .agg(avg("conf").as("meanHistConf"))
 
-    val joined = quant.join(histConf, Seq("matcherId")).collect()
+    // Left join from the history aggregate, so a matcher with an empty sigma
+    // keeps its row; its null counts read as 0 (`getAs` of a primitive).
+    val joined = histConf.join(quant, Seq("matcherId"), "left").collect()
     joined.toIndexedSeq.map { r =>
-      val id = r.getAs[Long]("matcherId")
-      val nSigma = r.getAs[Long]("nSigma")
-      val nCorrect = r.getAs[Long]("nCorrect")
-      val pairs = r.getAs[scala.collection.Seq[Row]]("pairs").toSeq
+      val pairs = Option(r.getAs[scala.collection.Seq[Row]]("pairs")).toSeq.flatten
         .map(p => (p.getAs[Double]("conf"), p.getAs[Boolean]("correct")))
-      val p = if (nSigma == 0) 0.0 else nCorrect.toDouble / nSigma
-      val rec = if (refSize == 0) 0.0 else nCorrect.toDouble / refSize
-      val (gamma, pv) = Stats.gammaTest(pairs.map(_._1), pairs.map(_._2))
-      MatcherMeasures(id, p, rec, gamma, pv, r.getAs[Double]("meanHistConf") - p)
+      fromSigma(r.getAs[Long]("matcherId"), r.getAs[Long]("nSigma"), r.getAs[Long]("nCorrect"),
+        pairs, r.getAs[Double]("meanHistConf"), refSize)
     }
+  }
+
+  /** Measures of one entity from its history alone, on the driver: the
+    * same definitions as `compute`, with Eq. 1 from
+    * `MatrixOps.finalEntries`. `reference` is M^e+ as (aIdx, bIdx) pairs.
+    */
+  def ofHistory(id: Long, history: Seq[Decision], reference: Set[(Int, Int)],
+                refSize: Long): MatcherMeasures = {
+    val pairs = MatrixOps.finalEntries(history).values.toSeq.collect {
+      case d if d.conf > 0.0 => (d.conf, reference((d.aIdx, d.bIdx)))
+    }
+    fromSigma(id, pairs.size.toLong, pairs.count(_._2).toLong, pairs,
+      history.map(_.conf).sum / history.size, refSize)
+  }
+
+  /** P, R, gamma + p and Cal from a matcher's sigma, as (conf, correct)
+    * pairs with their counts, and its mean history confidence. An empty
+    * sigma gives P = R = 0, gamma = 0, p = 1 and Cal = mean confidence.
+    */
+  def fromSigma(id: Long, nSigma: Long, nCorrect: Long, pairs: Seq[(Double, Boolean)],
+                meanHistConf: Double, refSize: Long): MatcherMeasures = {
+    val p = if (nSigma == 0) 0.0 else nCorrect.toDouble / nSigma
+    val rec = if (refSize == 0) 0.0 else nCorrect.toDouble / refSize
+    val (gamma, pv) = Stats.gammaTest(pairs.map(_._1), pairs.map(_._2))
+    MatcherMeasures(id, p, rec, gamma, pv, meanHistConf - p)
   }
 
   /** Labels for a set of matchers under train-derived thresholds. */

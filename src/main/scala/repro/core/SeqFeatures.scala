@@ -10,6 +10,8 @@ import org.apache.spark.sql.functions._
   *   - h_t.t - h_{t-1}.t — time to reach the decision (clipped/normalized);
   *   - pi_t — how many training matchers kept h_t.e in their final matrix
   *     (normalized by the training population size).
+  * `sequences` builds them for a population in Spark; `sequence` builds one
+  * entity's on the driver. Both use `step`.
   */
 object SeqFeatures {
 
@@ -37,14 +39,32 @@ object SeqFeatures {
           s.getAs[Double]("ts"), s.getAs[Long]("consensus")))
         .sortBy(_._1)
       val feats = steps.zipWithIndex.map { case ((_, conf, ts, cons), i) =>
-        val gap = if (i == 0) 0.0 else ts - steps(i - 1)._3
-        Array(
-          conf,
-          math.min(gap, GapClipSeconds) / GapClipSeconds,
-          math.min(1.0, cons.toDouble / math.max(1, nTrainMatchers)),
-        )
+        step(conf, if (i == 0) 0.0 else ts - steps(i - 1)._3, cons, nTrainMatchers)
       }
       id -> feats.toIndexedSeq
     }.toMap
   }
+
+  /** One entity's LSTM input sequence on the driver, in `seq` order.
+    * `consensus` holds the pi counts per (aIdx, bIdx); absent pairs count 0.
+    */
+  def sequence(history: Seq[Decision], consensus: Map[(Int, Int), Int],
+               nTrainMatchers: Int): IndexedSeq[Array[Double]] = {
+    val h = history.sortBy(_.seq).toIndexedSeq
+    h.indices.map { i =>
+      val d = h(i)
+      step(d.conf, if (i == 0) 0.0 else d.ts - h(i - 1).ts,
+        consensus.getOrElse((d.aIdx, d.bIdx), 0).toLong, nTrainMatchers)
+    }
+  }
+
+  /** One step's features: confidence, the clipped and normalized gap to
+    * the previous decision, and pi normalized by the training population.
+    */
+  def step(conf: Double, gap: Double, consensus: Long, nTrainMatchers: Int): Array[Double] =
+    Array(
+      conf,
+      math.min(gap, GapClipSeconds) / GapClipSeconds,
+      math.min(1.0, consensus.toDouble / math.max(1, nTrainMatchers)),
+    )
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkJobCounter, SparkSpec}
 import repro.synth.MatcherSim
 
 class MExISpec extends SparkSpec {
@@ -42,30 +42,32 @@ class MExISpec extends SparkSpec {
 
   // --- entity slicing ---
 
-  test("sliceEntities re-sequences decisions and restricts the window") {
+  test("sliceDecisions re-sequences decisions and restricts the window") {
     val hist = Map(1L -> (0 until 20).map(i =>
       Decision(1L, i, i, 0, 0.1 * (i % 10), i * 2.0)).toVector)
-    val mouse = Map(1L -> (0 until 40).map(i =>
-      MouseEvent(1L, i.toDouble, 0.0, MouseKinds.Move, i.toDouble)).toVector)
     val spec = MExI.WindowSpec(5000000L, 1L, start = 5, size = 10)
-    val (decs, mice) = MExI.sliceEntities(Seq(spec), hist, mouse)
+    val decs = MExI.sliceDecisions(spec, hist)
     assert(decs.size === 10)
     assert(decs.map(_.seq) === (0 until 10))
     assert(decs.forall(_.matcherId === 5000000L))
     assert(decs.head.ts === 10.0 && decs.last.ts === 28.0)
-    // Mouse events within [10, 28].
-    assert(mice.nonEmpty)
-    assert(mice.forall(e => e.ts >= 10.0 && e.ts <= 28.0))
-    assert(mice.forall(_.matcherId === 5000000L))
   }
 
   // --- end-to-end prepare + fit ---
 
-  private lazy val fold = {
+  /** The fold, prepared after the study caches are forced, with the
+    * number of Spark jobs `prepare` itself submitted.
+    */
+  private lazy val (fold, foldJobs) = {
+    handle.measures; handle.baseFeatures; handle.heatMaps
     val ids = handle.matcherIds
     val (train, test) = ids.splitAt(24)
-    MExI.prepare(spark, handle, train, handle, test, MExI.Variant50,
-      cfg = tinyCfg, seed = 5L)
+    SparkJobCounter.count(spark)(MExI.prepare(spark, handle, train, handle, test,
+      MExI.Variant50, cfg = tinyCfg, seed = 5L))
+  }
+
+  test("prepare submits no Spark job beyond the study caches") {
+    assert(foldJobs === 0)
   }
 
   test("prepare covers every train and test matcher with features") {
@@ -139,5 +141,27 @@ class MExISpec extends SparkSpec {
     val acc = MExI.evaluate(trainPred, trainTruth)
     assert(acc.aML > 0.5, s"train aML ${acc.aML}")
     assert(acc.aP > 0.7, s"train aP ${acc.aP}")
+  }
+
+  test("a matcher with no positive entry gets measures and prepare completes") {
+    // Regression: the inner join on the sigma aggregate dropped such a
+    // matcher, and prepare then failed with `key not found`.
+    val po = MatcherSim.poStudy()
+    val silent = po.traits.head.matcherId
+    val h = new StudyHandle(spark, po.copy(decisions = po.decisions.map(d =>
+      if (d.matcherId == silent) d.copy(conf = 0.0) else d)))
+    try {
+      assert(h.measures.size === 106)
+      val m = h.measures(silent)
+      assert(m.precision === 0.0 && m.recall === 0.0)
+      assert(m.resolution === 0.0 && m.resolutionP === 1.0)
+      assert(m.calibration === 0.0)
+      val (train, test) = h.matcherIds.splitAt(84)
+      val p = MExI.prepare(spark, h, train, h, test, MExI.VariantNone, cfg = tinyCfg, seed = 5L)
+      assert(p.trainLabels.contains(silent))
+      assert(p.features.vector(silent).forall(x => !x.isNaN && !x.isInfinity))
+    } finally {
+      h.decisions.unpersist(); h.mouse.unpersist(); h.reference.unpersist(); h.warmup.unpersist()
+    }
   }
 }

@@ -9,13 +9,14 @@ class MatrixOpsSpec extends SparkSpec {
   /** The paper's Table I history (Example 1): M34@3 conf 1.0, M11@8 conf
     * 0.9, M12@15 conf 0.5, M11@16 conf 0.5 (revisit), M21@34 conf 0.45.
     */
-  private def tableI = Seq(
+  private def tableIRows = Seq(
     Decision(1L, 0, 3, 4, 1.0, 3.0),
     Decision(1L, 1, 1, 1, 0.9, 8.0),
     Decision(1L, 2, 1, 2, 0.5, 15.0),
     Decision(1L, 3, 1, 1, 0.5, 16.0),
     Decision(1L, 4, 2, 1, 0.45, 34.0),
-  ).toDF()
+  )
+  private def tableI = tableIRows.toDF()
 
   test("Eq. 1: the final matrix keeps the latest confidence per entry") {
     val m = MatrixOps.finalMatrix(tableI).collect()
@@ -36,12 +37,14 @@ class MatrixOpsSpec extends SparkSpec {
   }
 
   test("ties on ts break by seq (later decision wins)") {
-    val df = Seq(
+    val rows = Seq(
       Decision(1L, 0, 0, 0, 0.3, 5.0),
       Decision(1L, 1, 0, 0, 0.7, 5.0),
-    ).toDF()
-    val m = MatrixOps.finalMatrix(df).collect()
+    )
+    val m = MatrixOps.finalMatrix(rows.toDF()).collect()
     assert(m.length === 1 && m.head.getAs[Double]("conf") === 0.7)
+    for (h <- Seq(rows, rows.reverse))
+      assert(MatrixOps.finalEntries(h).values.map(_.conf).toSeq === Seq(0.7))
   }
 
   test("sigma drops zero-confidence entries") {
@@ -87,18 +90,31 @@ class MatrixOpsSpec extends SparkSpec {
     assert(c.length === 1 && c.head.getAs[Long]("consensus") === 1L)
   }
 
+  /** The driver kernel's Eq. 1 entries, in the oracle's column layout. */
+  private def kernelFinalMatrix(decisions: Seq[Decision]) =
+    decisions.groupBy(_.matcherId).toSeq.flatMap { case (m, h) =>
+      MatrixOps.finalEntries(h).values.map(d => (m.toString, d.aIdx.toString, d.bIdx.toString, d.conf))
+    }.toDF("matcherid", "aidx", "bidx", "conf")
+
+  /** The driver kernel's consensus counts, in the oracle's column layout. */
+  private def kernelConsensus(decisions: Seq[Decision]) =
+    MatrixOps.consensusOf(decisions.groupBy(_.matcherId).values).toSeq
+      .map { case ((a, b), n) => (a.toString, b.toString, n.toLong) }
+      .toDF("aidx", "bidx", "consensus")
+
   test("oracle: final matrix equals DuckDB's latest-decision query") {
-    val decisions = tableI.union(Seq(
+    val rows = tableIRows ++ Seq(
       Decision(2L, 0, 0, 5, 0.25, 1.0),
       Decision(2L, 1, 0, 5, 0.75, 9.0),
-    ).toDF()).cache()
+    )
+    val decisions = rows.toDF().cache()
     val spark2 = MatrixOps.finalMatrix(decisions)
       .select(col("matcherId").cast("string").as("matcherid"),
         col("aIdx").cast("string").as("aidx"),
         col("bIdx").cast("string").as("bidx"),
         col("conf").cast("double").as("conf"))
-    Oracle.assertEquivalent(
-      spark2,
+    for (actual <- Seq(spark2, kernelFinalMatrix(rows))) Oracle.assertEquivalent(
+      actual,
       """SELECT matcherId AS matcherid, aIdx AS aidx, bIdx AS bidx,
         |       CAST(conf AS DOUBLE) AS conf
         |FROM (SELECT *, ROW_NUMBER() OVER (
@@ -111,18 +127,19 @@ class MatrixOpsSpec extends SparkSpec {
   }
 
   test("oracle: consensus equals DuckDB's grouped count") {
-    val decisions = Seq(
+    val rows = Seq(
       Decision(1L, 0, 0, 0, 0.9, 1.0),
       Decision(1L, 1, 0, 0, 0.8, 2.0),
       Decision(2L, 0, 0, 0, 0.7, 1.0),
       Decision(2L, 1, 2, 2, 0.6, 2.0),
-    ).toDF().cache()
+    )
+    val decisions = rows.toDF().cache()
     val sparkDf = MatrixOps.consensus(decisions)
       .select(col("aIdx").cast("string").as("aidx"),
         col("bIdx").cast("string").as("bidx"),
         col("consensus").cast("long").as("consensus"))
-    Oracle.assertEquivalent(
-      sparkDf,
+    for (actual <- Seq(sparkDf, kernelConsensus(rows))) Oracle.assertEquivalent(
+      actual,
       """SELECT aIdx AS aidx, bIdx AS bidx,
         |       COUNT(DISTINCT matcherId) AS consensus
         |FROM (SELECT *, ROW_NUMBER() OVER (

@@ -1,13 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import repro.ml.Stats
 
 /** Phi_Beh: aggregated behavioral features over the decision history H
   * (Section III-A, "Aggregated features"): confidence aggregates, decision
-  * times, and the number of changed matching decisions — all as plain
-  * relational aggregations so they are oracle-checkable.
+  * times, and the number of changed matching decisions.
   */
 object BehavioralFeatures {
 
@@ -18,36 +15,37 @@ object BehavioralFeatures {
     "beh_confSlope", "beh_gapSlope",
   )
 
-  /** One row per matcher, one column per feature. Slopes are least-squares
-    * trends of confidence (and inter-decision gap) over the decision index
-    * — computed relationally as cov(seq, y) / var(seq).
+  /** Feature vector of one history, all zero when it is empty. Gaps are
+    * the times between consecutive decisions in `seq` order, so the first
+    * decision has none; aggregates over no gaps, and standard deviations
+    * of fewer than two values, are 0. Slopes are least-squares trends of
+    * confidence (and gap) over the decision index, cov(seq, y) / var(seq):
+    * var(seq) and mean(seq) run over every decision, the means involving
+    * y over the decisions that have one.
     */
-  def features(decisions: DataFrame): DataFrame = {
-    val w = Window.partitionBy("matcherId").orderBy("seq")
-    val withGap = decisions
-      .withColumn("gap", col("ts") - lag("ts", 1).over(w))
+  def ofHistory(history: Seq[Decision]): Array[Double] = {
+    if (history.isEmpty) return new Array[Double](names.length)
+    val h = history.sortBy(_.seq).toIndexedSeq
+    val n = h.length
+    val seqs = h.map(_.seq.toDouble)
+    val confs = h.map(_.conf)
+    val withGap = h.indices.drop(1)
+    val gaps = withGap.map(i => h(i).ts - h(i - 1).ts)
+    val distinct = h.map(d => (d.aIdx, d.bIdx)).distinct.size
 
-    def slope(y: String): org.apache.spark.sql.Column = {
-      val cov = avg(col("seq") * col(y)) - avg("seq") * avg(col(y))
-      val varSeq = avg(col("seq") * col("seq")) - avg("seq") * avg("seq")
-      when(varSeq > 0, cov / varSeq).otherwise(0.0)
-    }
+    val meanSeq = Stats.mean(seqs)
+    val varSeq = Stats.mean(seqs.map(s => s * s)) - meanSeq * meanSeq
+    def slope(ss: Seq[Double], ys: Seq[Double]): Double =
+      if (varSeq > 0 && ys.nonEmpty)
+        (Stats.mean(ss.zip(ys).map { case (s, y) => s * y }) - meanSeq * Stats.mean(ys)) / varSeq
+      else 0.0
 
-    withGap.groupBy("matcherId").agg(
-      count(lit(1)).cast("double").as("beh_count"),
-      countDistinct(col("aIdx"), col("bIdx")).cast("double").as("beh_distinctCorr"),
-      (count(lit(1)) - countDistinct(col("aIdx"), col("bIdx")))
-        .cast("double").as("beh_mindChanges"),
-      avg("conf").as("beh_avgConf"),
-      coalesce(stddev_samp(col("conf")), lit(0.0)).as("beh_stdConf"),
-      min("conf").as("beh_minConf"),
-      max("conf").as("beh_maxConf"),
-      coalesce(avg("gap"), lit(0.0)).as("beh_avgTime"),
-      coalesce(max("gap"), lit(0.0)).as("beh_maxTime"),
-      coalesce(stddev_samp(col("gap")), lit(0.0)).as("beh_stdTime"),
-      (max("ts") - min("ts")).as("beh_totalTime"),
-      slope("conf").as("beh_confSlope"),
-      coalesce(slope("gap"), lit(0.0)).as("beh_gapSlope"),
+    Array(
+      n.toDouble, distinct.toDouble, (n - distinct).toDouble,
+      Stats.mean(confs), Stats.stddev(confs), confs.min, confs.max,
+      Stats.mean(gaps), if (gaps.isEmpty) 0.0 else gaps.max, Stats.stddev(gaps),
+      h.map(_.ts).max - h.map(_.ts).min,
+      slope(seqs, confs), slope(withGap.map(seqs), gaps),
     )
   }
 }

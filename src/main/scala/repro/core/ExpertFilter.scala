@@ -1,15 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.ml.{Standardizer, TrainedModel}
 import repro.synth.StudyData
 
 /** Section IV-F: using the identified experts to improve the matching
-  * outcome. This is the distributed ETL filtering stage of the paper's
-  * contribution: a broadcast scoring UDF marks each matcher expert or not,
-  * non-expert correspondences are filtered out, and the surviving expert
-  * matrices are fused by vote aggregation into a final match.
+  * outcome. `Experiments.utilization` selects the matchers MExI predicts
+  * expert on all four characteristics (driver-side predictions); here
+  * their quality is summarized, and their matrices are fused by vote
+  * aggregation in Spark into a final match.
   */
 object ExpertFilter {
 
@@ -26,25 +25,6 @@ object ExpertFilter {
       ms.map(m => math.abs(m.calibration)).sum / ms.size)
   }
 
-  /** Applies a trained MExI as a broadcast scoring UDF over a feature
-    * DataFrame, returning (matcherId, isExpert) — expert means positive on
-    * all four characteristics, the selection used in Figure 10.
-    */
-  def scoreMatchers(spark: SparkSession, features: Map[Long, Array[Double]],
-                    std: Standardizer, models: Array[(String, TrainedModel)]): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((std, models))
-    val score = udf { (fs: Seq[Double]) =>
-      val (s, ms) = bc.value
-      val x = s.transform(fs.toArray)
-      ms.forall(_._2.predict(x))
-    }
-    features.toSeq.map { case (id, f) => (id, f.toSeq) }
-      .toDF("matcherId", "features")
-      .withColumn("isExpert", score(col("features")))
-      .select("matcherId", "isExpert")
-  }
-
   /** Fuses the matrices of the selected matchers into one final match:
     * keep every pair selected by at least `voteFrac` of them (vote
     * aggregation after the expert filter).
@@ -55,7 +35,7 @@ object ExpertFilter {
     val votesNeeded = math.max(1.0, math.ceil(voteFrac * k))
     MatrixOps.sigma(decisions.where(col("matcherId").isInCollection(selected.toSeq)))
       .groupBy("aIdx", "bIdx")
-      .agg(countDistinct("matcherId").as("votes"))
+      .agg(count(lit(1)).as("votes"))
       .where(col("votes") >= votesNeeded)
       .select("aIdx", "bIdx")
   }

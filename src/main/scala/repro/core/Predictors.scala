@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 import repro.ml.{Pca, Stats}
 
 /** Phi_LRSM: matching predictors computed over a matcher's matching matrix
@@ -13,9 +11,8 @@ import repro.ml.{Pca, Stats}
   * the paper uses the former for the Precision label and the latter for
   * Thoroughness (Section III-A).
   *
-  * The per-matcher computation needs the whole (sparse) matrix at once, so
-  * it runs as a scoring UDF over `collect_list(struct(aIdx, bIdx, conf))`
-  * — the "UDF scoring before aggregation" layer of this reproduction.
+  * The kernel takes a matcher's whole (sparse) matrix at once: the sigma
+  * entries from `MatrixOps.sigmaOf`, in (aIdx, bIdx) order.
   */
 object Predictors {
 
@@ -86,22 +83,5 @@ object Predictors {
       norm1, norm2, normInf,
       mcd, pca1, pca2,
     )
-  }
-
-  /** DataFrame stage: one row per matcher with one column per predictor.
-    * `decisions` is a history DataFrame; the matrix is first materialized
-    * via Eq. 1, then scored by the predictor UDF.
-    */
-  def features(decisions: DataFrame, nA: Int, nB: Int): DataFrame = {
-    val score = udf { (entries: Seq[Row]) =>
-      fromEntries(entries.map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))), nA, nB)
-    }
-    val grouped = MatrixOps.sigma(decisions)
-      .groupBy("matcherId")
-      .agg(collect_list(struct(col("aIdx"), col("bIdx"), col("conf"))).as("entries"))
-      .withColumn("f", score(col("entries")))
-    names.zipWithIndex.foldLeft(grouped.select(col("matcherId"), col("f"))) {
-      case (df, (n, i)) => df.withColumn(n, col("f").getItem(i))
-    }.drop("f")
   }
 }

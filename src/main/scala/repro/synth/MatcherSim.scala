@@ -51,6 +51,47 @@ final case class StudyData(
   }
 }
 
+object StudyData {
+
+  /** Rejects a study the per-matcher kernels cannot take, with an
+    * `IllegalArgumentException` naming the matcher and the field: a
+    * confidence that is NaN or outside [0, 1], a duplicate `seq` within a
+    * matcher, a `ts` that is not finite or decreases in `seq` order, an
+    * element index outside its task, a mouse position outside the screen
+    * or an unknown mouse event kind. Warm-up decisions are checked
+    * against the warm-up task.
+    */
+  def validate(s: StudyData): Unit = {
+    decisions("decision", s.decisions, s.task)
+    decisions("warm-up decision", s.warmupDecisions, s.warmupTask)
+    s.mouse.foreach { e =>
+      def check(ok: Boolean, what: => String): Unit =
+        if (!ok) throw new IllegalArgumentException(s"matcher ${e.matcherId}: mouse event at ts ${e.ts}: $what")
+      check(MouseKinds.All.contains(e.kind), s"kind '${e.kind}' is not one of ${MouseKinds.All.mkString(", ")}")
+      check(e.x >= 0 && e.x <= s.task.screenW, s"x ${e.x} is outside [0, ${s.task.screenW}]")
+      check(e.y >= 0 && e.y <= s.task.screenH, s"y ${e.y} is outside [0, ${s.task.screenH}]")
+      check(java.lang.Double.isFinite(e.ts), "ts is not finite")
+    }
+  }
+
+  private def decisions(label: String, ds: Vector[Decision], task: MatchingTask): Unit =
+    ds.groupBy(_.matcherId).foreach { case (id, h) =>
+      def check(ok: Boolean, what: => String): Unit =
+        if (!ok) throw new IllegalArgumentException(s"matcher $id: $label $what")
+      val sorted = h.sortBy(_.seq)
+      sorted.foreach { d =>
+        check(d.conf >= 0.0 && d.conf <= 1.0, s"seq ${d.seq}: conf ${d.conf} is not in [0, 1]")
+        check(java.lang.Double.isFinite(d.ts), s"seq ${d.seq}: ts ${d.ts} is not finite")
+        check(d.aIdx >= 0 && d.aIdx < task.nA, s"seq ${d.seq}: aIdx ${d.aIdx} is outside [0, ${task.nA})")
+        check(d.bIdx >= 0 && d.bIdx < task.nB, s"seq ${d.seq}: bIdx ${d.bIdx} is outside [0, ${task.nB})")
+      }
+      sorted.zip(sorted.drop(1)).foreach { case (a, b) =>
+        check(a.seq != b.seq, s"seq ${b.seq} is duplicated")
+        check(b.ts >= a.ts, s"seq ${b.seq}: ts ${b.ts} is before ts ${a.ts} of seq ${a.seq}")
+      }
+    }
+}
+
 /** Trait priors for a population; the OAEI prior is shifted relative to PO
   * to create the domain gap observed in Table IIb.
   */

@@ -4,10 +4,12 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.synth.{MatcherSim, StudyData}
 
-/** The driver-side kernels (`MatrixOps.finalEntries` / `consensusOf`,
-  * `Measures.ofHistory`, `SeqFeatures.sequence`) against their Spark
-  * reference implementations, on a simulated population, on its MExI_70
-  * sub-matcher windows, and on a PO-train / OAEI-test pair.
+/** The per-entity kernels (`MatrixOps.sigmaOf` / `consensusOf`,
+  * `Measures.ofHistory`, `SeqFeatures.sequence`) called on the driver, as
+  * `MExI.prepare` calls them, against the Spark population ETL that runs
+  * them per matcher, on a simulated population and on a PO-train /
+  * OAEI-test pair; and the measures of the population's MExI_70
+  * sub-matcher windows against DuckDB.
   */
 class DriverKernelSpec extends SparkSpec {
   import spark.implicits._
@@ -31,15 +33,10 @@ class DriverKernelSpec extends SparkSpec {
 
   private def reference(s: StudyData) = s.task.reference.map(r => (r.aIdx, r.bIdx)).toSet
 
-  test("Eq. 1: finalEntries equals finalMatrix entry for entry") {
-    val sparkRows = MatrixOps.finalMatrix(df(poHists)).collect().map { r =>
-      (r.getAs[Long]("matcherId"), r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx")) ->
-        (r.getAs[Double]("conf"), r.getAs[Double]("ts"), r.getAs[Int]("seq"))
-    }.toMap
-    val kernelRows = poHists.flatMap { case (id, h) =>
-      MatrixOps.finalEntries(h).map { case ((a, b), d) => (id, a, b) -> (d.conf, d.ts, d.seq) }
-    }.toMap
-    assert(kernelRows.size === sparkRows.size)
+  test("Spark sigma equals sigmaOf per matcher") {
+    val sparkRows = MatrixOps.sigma(df(poHists)).as[Decision].collect().toSet
+    val kernelRows = poHists.flatMap { case (_, h) => MatrixOps.sigmaOf(h) }.toSet
+    assert(kernelRows.nonEmpty)
     assert(kernelRows === sparkRows)
   }
 
@@ -52,32 +49,32 @@ class DriverKernelSpec extends SparkSpec {
     }
   }
 
+  /** The population ETL's measures of `s` against the driver kernel's. */
   private def assertSameMeasures(hs: Histories, s: StudyData): Unit = {
-    val sparkMs = Measures.compute(spark, df(hs), s.referenceDf(spark), s.task.reference.size)
-      .map(m => m.matcherId -> m).toMap
-    assert(sparkMs.keySet === hs.map(_._1).toSet)
+    val handleMs = Studies.withHandle(spark, s)(_.measures)
+    assert(handleMs.keySet === hs.map(_._1).toSet)
     val ref = reference(s)
     hs.foreach { case (id, h) =>
-      val k = Measures.ofHistory(id, h, ref, s.task.reference.size)
-      val m = sparkMs(id)
-      assert(k.copy(calibration = 0.0) === m.copy(calibration = 0.0), s"entity $id")
-      assert(math.abs(k.calibration - m.calibration) <= 1e-12, s"entity $id")
+      assert(Measures.ofHistory(id, h, ref, s.task.reference.size) === handleMs(id), s"entity $id")
     }
   }
 
-  test("ofHistory equals Measures.compute on the population") {
+  test("StudyHandle measures equal ofHistory on the population") {
     assertSameMeasures(poHists, po)
   }
 
-  test("ofHistory equals Measures.compute on the MExI_70 windows") {
+  test("MExI_70 window measures equal DuckDB's P, R and Cal") {
     assert(windowHists.size > poHists.size)
-    assertSameMeasures(windowHists, po)
+    val ref = reference(po)
+    val ms = windowHists.map { case (id, h) => Measures.ofHistory(id, h, ref, po.task.reference.size) }
+    MeasuresSpec.assertOracle(spark, ms, windowHists.flatMap(_._2), po.task.reference)
   }
 
   test("ofHistory gives an empty sigma P = R = 0, gamma = 0, p = 1, Cal = mean confidence") {
     val h = Vector(Decision(9L, 0, 1, 1, 0.0, 1.0), Decision(9L, 1, 2, 2, 0.0, 2.0))
-    assert(Measures.ofHistory(9L, h, Set((1, 1)), 4) === MatcherMeasures(9L, 0.0, 0.0, 0.0, 1.0, 0.0))
-    assertSameMeasures(Vector(9L -> h), po)
+    val m = Measures.ofHistory(9L, h, Set((1, 1)), 4)
+    assert(m === MatcherMeasures(9L, 0.0, 0.0, 0.0, 1.0, 0.0))
+    MeasuresSpec.assertOracle(spark, Seq(m), h, Seq(RefPair(1, 1), RefPair(2, 3), RefPair(3, 3), RefPair(4, 4)))
   }
 
   /** `entities`' sequences under the consensus of `population`,

@@ -19,9 +19,7 @@ class MatrixOpsSpec extends SparkSpec {
   private def tableI = tableIRows.toDF()
 
   test("Eq. 1: the final matrix keeps the latest confidence per entry") {
-    val m = MatrixOps.finalMatrix(tableI).collect()
-      .map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx")) -> r.getAs[Double]("conf"))
-      .toMap
+    val m = MatrixOps.finalEntries(tableIRows).view.mapValues(_.conf).toMap
     assert(m.size === 4)
     assert(m((3, 4)) === 1.0)
     assert(m((1, 1)) === 0.5) // revisit at t=16 overrides 0.9 at t=8
@@ -31,7 +29,7 @@ class MatrixOpsSpec extends SparkSpec {
 
   test("final matrix keeps matchers separate") {
     val two = tableI.union(Seq(Decision(2L, 0, 1, 1, 0.8, 1.0)).toDF())
-    val m = MatrixOps.finalMatrix(two)
+    val m = MatrixOps.sigma(two)
     assert(m.where(col("matcherId") === 2L).count() === 1)
     assert(m.where(col("matcherId") === 1L).count() === 4)
   }
@@ -41,7 +39,7 @@ class MatrixOpsSpec extends SparkSpec {
       Decision(1L, 0, 0, 0, 0.3, 5.0),
       Decision(1L, 1, 0, 0, 0.7, 5.0),
     )
-    val m = MatrixOps.finalMatrix(rows.toDF()).collect()
+    val m = MatrixOps.sigma(rows.toDF()).collect()
     assert(m.length === 1 && m.head.getAs[Double]("conf") === 0.7)
     for (h <- Seq(rows, rows.reverse))
       assert(MatrixOps.finalEntries(h).values.map(_.conf).toSeq === Seq(0.7))
@@ -56,15 +54,6 @@ class MatrixOpsSpec extends SparkSpec {
     val s = MatrixOps.sigma(df).collect()
     assert(s.length === 1)
     assert(s.head.getAs[Int]("aIdx") === 1)
-  }
-
-  test("withCorrect flags reference membership") {
-    val ref = Seq(RefPair(3, 4), RefPair(1, 1), RefPair(1, 2), RefPair(2, 3)).toDF()
-    val m = MatrixOps.withCorrect(MatrixOps.finalMatrix(tableI), ref).collect()
-      .map(r => (r.getAs[Int]("aIdx"), r.getAs[Int]("bIdx")) -> r.getAs[Boolean]("correct"))
-      .toMap
-    assert(m((3, 4)) && m((1, 1)) && m((1, 2)))
-    assert(!m((2, 1)))
   }
 
   test("consensus counts matchers per final pair") {
@@ -103,12 +92,14 @@ class MatrixOpsSpec extends SparkSpec {
       .toDF("aidx", "bidx", "consensus")
 
   test("oracle: final matrix equals DuckDB's latest-decision query") {
+    // Every final entry here is positive, so Spark's sigma is the whole
+    // final matrix.
     val rows = tableIRows ++ Seq(
       Decision(2L, 0, 0, 5, 0.25, 1.0),
       Decision(2L, 1, 0, 5, 0.75, 9.0),
     )
     val decisions = rows.toDF().cache()
-    val spark2 = MatrixOps.finalMatrix(decisions)
+    val spark2 = MatrixOps.sigma(decisions)
       .select(col("matcherId").cast("string").as("matcherid"),
         col("aIdx").cast("string").as("aidx"),
         col("bIdx").cast("string").as("bidx"),

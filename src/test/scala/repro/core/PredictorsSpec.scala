@@ -89,29 +89,48 @@ class PredictorsSpec extends SparkSpec {
     assert(f(idx("lrsm_pca1")) === 1.0 && f(idx("lrsm_pca2")) === 0.0)
   }
 
+  /** Phi_LRSM rows of `decisions`' matchers from the population pass. */
+  private def lrsmRows(decisions: Seq[Decision]): Map[Long, Seq[Double]] =
+    Studies.withHandle(spark, Studies.of(decisions))(_.baseFeatures).rows
+      .view.mapValues(_.take(Predictors.names.length).toSeq).toMap
+
   test("DataFrame stage matches the pure kernel per matcher") {
-    val decisions = Seq(
+    val rows = lrsmRows(Seq(
       Decision(1L, 0, 0, 0, 0.9, 1.0),
       Decision(1L, 1, 1, 1, 0.7, 2.0),
       Decision(2L, 0, 2, 2, 0.4, 1.0),
-    ).toDF()
-    val df = Predictors.features(decisions, 4, 4).collect()
-      .map(r => r.getAs[Long]("matcherId") ->
-        Predictors.names.map(n => r.getAs[Double](n)).toArray).toMap
-    val exp1 = Predictors.fromEntries(Seq((0, 0, 0.9), (1, 1, 0.7)), 4, 4)
-    val exp2 = Predictors.fromEntries(Seq((2, 2, 0.4)), 4, 4)
-    assert(df(1L).toSeq === exp1.toSeq)
-    assert(df(2L).toSeq === exp2.toSeq)
+    ))
+    val (nA, nB) = (Studies.task.nA, Studies.task.nB)
+    assert(rows(1L) === Predictors.fromEntries(Seq((0, 0, 0.9), (1, 1, 0.7)), nA, nB).toSeq)
+    assert(rows(2L) === Predictors.fromEntries(Seq((2, 2, 0.4)), nA, nB).toSeq)
   }
 
   test("DataFrame stage applies Eq. 1 before scoring") {
     // The revisit (conf 0.2 at t=5) must override conf 0.9 at t=1.
-    val decisions = Seq(
+    val r = lrsmRows(Seq(
       Decision(1L, 0, 0, 0, 0.9, 1.0),
       Decision(1L, 1, 0, 0, 0.2, 5.0),
-    ).toDF()
-    val r = Predictors.features(decisions, 4, 4).collect().head
-    assert(r.getAs[Double]("lrsm_avgConf") === 0.2)
-    assert(r.getAs[Double]("lrsm_nSigma") === 1.0)
+    ))(1L)
+    assert(r(idx("lrsm_avgConf")) === 0.2)
+    assert(r(idx("lrsm_nSigma")) === 1.0)
+  }
+
+  test("bbm ties break in (aIdx, bIdx) order whatever order the decisions arrive in") {
+    // Two 1.0 entries in row 0. Taking (0,0) first leaves (1,2):
+    // (1.0 + 0.8) / 4; taking (0,2) first would leave (1,0): (1.0 + 0.9) / 4.
+    // Eq. 1's hash map yields (0,2) before (0,0) for these pairs.
+    val h = Vector(
+      Decision(1L, 0, 0, 2, 1.0, 1.0),
+      Decision(1L, 1, 0, 0, 1.0, 2.0),
+      Decision(1L, 2, 1, 0, 0.9, 3.0),
+      Decision(1L, 3, 1, 2, 0.8, 4.0),
+    )
+    def bbm(entries: Seq[Decision]) =
+      Predictors.fromEntries(entries.map(d => (d.aIdx, d.bIdx, d.conf)), 4, 4)(idx("lrsm_bbm"))
+    assert(bbm(h) === 1.9 / 4, "the kernel itself follows entry order")
+    for (order <- Seq(h, h.reverse)) {
+      assert(bbm(MatrixOps.sigmaOf(order)) === 1.8 / 4)
+      assert(lrsmRows(order)(1L)(idx("lrsm_bbm")) === 1.8 / 4)
+    }
   }
 }

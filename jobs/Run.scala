@@ -16,8 +16,9 @@ object Run {
 
   private val jobs: Vector[(String, SparkSession => Unit)] = Vector(
     "tableIIa" -> { (spark: SparkSession) =>
-      val (rows, _) = Experiments.tableIIa(spark, po(spark), NeuralFeatures.Config())
+      val (rows, artifacts) = Experiments.tableIIa(spark, po(spark), NeuralFeatures.Config())
       println(Experiments.formatAccuracyTable("Table IIa: Schema Matching (PO), 5-fold CV", rows))
+      println(Experiments.formatModelChoices(artifacts))
     },
     "tableIIb" -> { (spark: SparkSession) =>
       val oaei = new StudyHandle(spark, MatcherSim.oaeiStudy())

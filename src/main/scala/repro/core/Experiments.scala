@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.Par
 import repro.ml.ModelSelection
 
 /** Orchestration of the paper's evaluation (Section IV): Table IIa/IIb
@@ -8,6 +9,12 @@ import repro.ml.ModelSelection
   * Table IV (feature importance) and the Section IV-F expert-utilization
   * analysis. Bench suites and spark-submit jobs both call these entry
   * points; EXPERIMENTS.md records paper vs measured numbers.
+  *
+  * Independent fits (folds, ablation fits, Table IV cells) run as
+  * `Par.map` tasks. Each owns its seeds, results are assembled in the
+  * sequential order, and sums across tasks stay sequential, so the tables
+  * are bit-identical to a one-thread run. No Spark call runs inside a
+  * task: the study caches are filled before the folds fork.
   */
 object Experiments {
 
@@ -57,7 +64,8 @@ object Experiments {
 
   /** Accuracy rows for the seven baselines on one fold. LRSM and BEH are
     * the learning-based baselines: the same classifier stack restricted to
-    * matching predictors, resp. behavioral (history + mouse) aggregates.
+    * matching predictors, resp. behavioral (history + mouse) aggregates;
+    * their two fits run in parallel.
     */
   def baselineRows(trainH: StudyHandle, testH: StudyHandle, a: FoldArtifacts,
                    seed: Long): Vector[TableRow] = {
@@ -65,6 +73,8 @@ object Experiments {
     val truth = p50.testLabels
     def eval(pred: Map[Long, Array[Boolean]]) = MExI.evaluate(pred, truth)
     val trainMatcherLabels = a.trainIds.map(p50.trainLabels)
+    val Vector(lrsm, beh) =
+      Par.map(Vector(Set("lrsm"), Set("beh", "mou")))(g => MExI.fit(p50, g, seed).accuracies)
     Vector(
       TableRow("Rand", eval(Baselines.rand(a.testIds, seed))),
       TableRow("Rand_Freq", eval(Baselines.randFreq(trainMatcherLabels, a.testIds, seed + 1))),
@@ -74,8 +84,8 @@ object Experiments {
         testH.warmupMeasures, a.testIds, p50.thresholds))),
       TableRow("Self-Assess", eval(Baselines.selfAssess(
         testH.warmupMeasures, a.testIds))),
-      TableRow("LRSM", MExI.fit(p50, Set("lrsm"), seed).accuracies),
-      TableRow("BEH", MExI.fit(p50, Set("beh", "mou"), seed).accuracies),
+      TableRow("LRSM", lrsm),
+      TableRow("BEH", beh),
     )
   }
 
@@ -100,7 +110,8 @@ object Experiments {
                folds: Int = 5, seed: Long = 77L)
       : (Vector[TableRow], Vector[FoldArtifacts]) = {
     val splits = foldSplits(po.matcherIds, folds, seed)
-    val artifacts = splits.zipWithIndex.map { case ((train, test), i) =>
+    po.measures // fills the study caches (Spark) before the folds fork
+    val artifacts = Par.map(splits.zipWithIndex) { case ((train, test), i) =>
       computeFold(spark, po, po, train, test, cfg, seed + 100 * i)
     }
     val perFold = artifacts.zipWithIndex.map { case (a, i) =>
@@ -130,31 +141,34 @@ object Experiments {
   def tableIII(artifacts: Vector[FoldArtifacts], seed: Long = 277L)
       : Vector[TableRow] = {
     val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
+    val ablations = sets.map(s => s"include $s" -> Set(s)) ++
+      sets.map(s => s"exclude $s" -> (FeatureTable.AllGroups - s))
     val perFold = artifacts.map { a =>
       Vector(TableRow("MExI_50", a.fit50.accuracies)) ++
-        sets.map(s => TableRow(s"include $s",
-          MExI.fit(a.p50, Set(s), seed).accuracies)) ++
-        sets.map(s => TableRow(s"exclude $s",
-          MExI.fit(a.p50, FeatureTable.AllGroups - s, seed).accuracies))
+        Par.map(ablations) { case (method, groups) =>
+          TableRow(method, MExI.fit(a.p50, groups, seed).accuracies)
+        }
     }
     meanRows(perFold)
   }
 
   /** Table IV: the two most informative features per feature set and
     * characteristic — permutation importance (our SHAP stand-in) of the
-    * per-set models, summed over folds.
+    * per-set models, summed over folds. Each cell is one task; its sum
+    * over folds runs in fold order.
     */
   def tableIV(artifacts: Vector[FoldArtifacts], seed: Long = 377L)
       : Map[(String, String), Vector[String]] = {
     val sets = Vector("lrsm", "mou", "beh", "seq", "spa")
-    val out = for (s <- sets; l <- 0 until Labels.Count) yield {
+    val cells = for (s <- sets; l <- 0 until Labels.Count) yield (s, l)
+    val out = Par.map(cells) { case (s, l) =>
       val importance = scala.collection.mutable.Map.empty[String, Double]
       artifacts.foreach { a =>
         val table = a.p50.features.select(Set(s))
         val std = repro.ml.Standardizer.fit(a.p50.trainIds.map(table.vector))
         val xs = a.p50.trainIds.map(id => std.transform(table.vector(id))).toIndexedSeq
         val ys = a.p50.trainIds.map(id => a.p50.trainLabels(id)(l)).toIndexedSeq
-        val (_, model) = ModelSelection.selectAndTrain(xs, ys, seed = seed + l)
+        val model = ModelSelection.selectAndTrain(xs, ys, seed = seed + l).model
         val imp = ModelSelection.permutationImportance(model, xs, ys, seed = seed)
         table.names.zip(imp).foreach { case (n, v) =>
           importance(n) = importance.getOrElse(n, 0.0) + v
@@ -169,11 +183,15 @@ object Experiments {
   /** Section IV-F rows: mean (P, R, Res, |Cal|) of the matchers each
     * selector keeps, over the whole PO population (test-fold predictions
     * of the IIa CV for MExI). Also returns the fused-match quality of the
-    * selected set vs the full population.
+    * selected set vs the full population. A selector that keeps no
+    * matcher gets n = 0 and `fallback`: its measure and fused columns are
+    * the full population's (a system would fall back rather than ship an
+    * empty match).
     */
   final case class UtilizationRow(method: String, n: Int, p: Double, r: Double,
                                   res: Double, absCal: Double,
-                                  fusedP: Double, fusedR: Double)
+                                  fusedP: Double, fusedR: Double,
+                                  fallback: Boolean = false)
 
   def utilization(spark: SparkSession, po: StudyHandle,
                   cvPred: Map[Long, Array[Boolean]],
@@ -195,15 +213,13 @@ object Experiments {
       "Self-Assess" -> keep(selfPred),
       "MExI" -> mexiExperts,
     )
-    selections.map { case (name, ids0) =>
-      // An empty selection degrades to the full population (a system would
-      // fall back rather than ship an empty match).
-      val ids = if (ids0.isEmpty) allIds.toSet else ids0
+    selections.map { case (name, selected) =>
+      val ids = if (selected.isEmpty) allIds.toSet else selected
       val (p, r, res, cal) = ExpertFilter.measureStats(po.measures, ids)
       val fused = ExpertFilter.fusedMatch(po.decisions, ids, voteFrac = 0.4)
       val (fp, fr) = ExpertFilter.fusedQuality(fused, po.reference,
         po.study.task.reference.size)
-      UtilizationRow(name, ids.size, p, r, res, cal, fp, fr)
+      UtilizationRow(name, selected.size, p, r, res, cal, fp, fr, fallback = selected.isEmpty)
     }
   }
 
@@ -215,11 +231,12 @@ object Experiments {
   def earlyPredictions(spark: SparkSession, po: StudyHandle, truncated: StudyHandle,
                        artifacts: Vector[FoldArtifacts], cfg: NeuralFeatures.Config,
                        seed: Long = 77L): Map[Long, Array[Boolean]] = {
-    artifacts.zipWithIndex.flatMap { case (a, i) =>
+    truncated.measures // fills the study caches (Spark) before the folds fork
+    Par.map(artifacts.zipWithIndex) { case (a, i) =>
       val p = MExI.prepare(spark, po, a.trainIds, truncated, a.testIds,
         MExI.Variant50, cfg, sharedCnns = Some(a.pNone.cnns), seed = seed + 100 * i)
       MExI.fit(p, seed = seed + 100 * i).predictions
-    }.toMap
+    }.flatten.toMap
   }
 
   // --- formatting ---
@@ -235,15 +252,37 @@ object Experiments {
     sb.toString
   }
 
+  /** One line per fold and label: the classifier each MExI variant chose
+    * and its internal CV accuracy (none for a single-class label's
+    * constant model).
+    */
+  def formatModelChoices(artifacts: Vector[FoldArtifacts]): String = {
+    val sb = new StringBuilder
+    sb.append("== Classifier per fold and label (internal CV accuracy) ==\n")
+    for ((a, i) <- artifacts.zipWithIndex; l <- 0 until Labels.Count) {
+      val cells = Vector("MExI_0" -> a.fitNone, "MExI_50" -> a.fit50, "MExI_70" -> a.fit70).map {
+        case (variant, fit) =>
+          val chosen = fit.models(l)
+          val score = chosen.cvScores.toMap.get(chosen.name).fold("")(acc => f" $acc%.2f")
+          s"$variant ${chosen.name}$score"
+      }
+      sb.append(f"fold $i ${Labels.Names(l)}%-3s ${cells.mkString(" | ")}\n")
+    }
+    sb.toString
+  }
+
   def formatUtilization(title: String, rows: Vector[UtilizationRow]): String = {
     val sb = new StringBuilder
     sb.append(s"== $title ==\n")
     sb.append(f"${"Selector"}%-12s ${"n"}%4s ${"P"}%6s ${"R"}%6s ${"Res"}%6s " +
       f"${"|Cal|"}%6s ${"fusedP"}%7s ${"fusedR"}%7s\n")
     rows.foreach { r =>
-      sb.append(f"${r.method}%-12s ${r.n}%4d ${r.p}%6.2f ${r.r}%6.2f ${r.res}%6.2f " +
+      val n = if (r.fallback) s"${r.n}*" else r.n.toString
+      sb.append(f"${r.method}%-12s $n%4s ${r.p}%6.2f ${r.r}%6.2f ${r.res}%6.2f " +
         f"${r.absCal}%6.2f ${r.fusedP}%7.2f ${r.fusedR}%7.2f\n")
     }
+    if (rows.exists(_.fallback))
+      sb.append("* selected no matcher: its measure and fused columns are the full population's\n")
     sb.toString
   }
 }

@@ -1,8 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.ml.{Metrics, ModelSelection, Standardizer, TrainedModel}
-import repro.nn.Cnn
+import repro.Par
+import repro.ml.{Metrics, ModelSelection, Standardizer}
+import repro.nn.{Cnn, Lstm}
 
 /** The MExI learning framework (Section III): feature extraction with
   * sub-matcher augmentation, late-fusion neural features, per-label
@@ -30,10 +31,10 @@ object MExI {
   }
 
   /** Everything `fit` needs: feature rows with labels for the training
-    * and test matchers, plus the trained CNNs so callers can share them
-    * across variants of the same fold. `nLstmTrainSeqs` records how many
-    * sequences (matchers + sub-matchers) the LSTMs saw — the knob the
-    * augmentation variants turn.
+    * and test matchers, plus the trained networks: the CNNs so callers can
+    * share them across variants of the same fold, and the per-label LSTMs.
+    * `nLstmTrainSeqs` records how many sequences (matchers + sub-matchers)
+    * the LSTMs saw — the knob the augmentation variants turn.
     */
   final case class Prepared(
       names: Vector[String],
@@ -43,17 +44,19 @@ object MExI {
       trainLabels: Map[Long, Array[Boolean]],
       testLabels: Map[Long, Array[Boolean]],
       thresholds: Thresholds,
+      lstms: Array[Lstm],
       cnns: Map[(String, Int), Cnn],
       nLstmTrainSeqs: Int,
   )
 
-  /** A fitted MExI: per-label (classifier name, model) over standardized
-    * features, with its test predictions and accuracies.
+  /** A fitted MExI: per-label chosen classifier (with every zoo member's
+    * CV accuracy) over standardized features, with its test predictions
+    * and accuracies.
     */
   final case class FitResult(
       predictions: Map[Long, Array[Boolean]],
       accuracies: Accuracies,
-      models: Array[(String, TrainedModel)],
+      models: Array[ModelSelection.Selection],
       standardizer: Standardizer,
       names: Vector[String],
   )
@@ -161,23 +164,26 @@ object MExI {
     val cnns = sharedCnns.getOrElse(
       NeuralFeatures.trainCnns(trainH.heatMaps, trainMatcherLabels, trainIds, cfg, seed))
 
-    def mapsOf(id: Long) = if (trainIds.contains(id)) trainH.heatMaps else testH.heatMaps
+    // The study caches are read here, not in the tasks below: a first
+    // read may run Spark, and no Spark call runs inside a task.
+    val (trainMaps, testMaps) = (trainH.heatMaps, testH.heatMaps)
+    def mapsOf(id: Long) = if (trainIds.contains(id)) trainMaps else testMaps
 
     val allIds = trainIds ++ testIds
     val neural = FeatureTable(
       NeuralFeatures.seqNames ++ NeuralFeatures.spaNames,
-      allIds.map { id =>
+      Par.map(allIds) { id =>
         id -> (NeuralFeatures.seqVector(lstms, seqs.getOrElse(id, IndexedSeq.empty)) ++
           NeuralFeatures.spaVector(cnns, mapsOf(id), id))
       }.toMap)
 
     Prepared(base.names ++ neural.names, trainIds, testIds,
-      base ++ neural, trainMatcherLabels, testLabels, thresholds, cnns,
+      base ++ neural, trainMatcherLabels, testLabels, thresholds, lstms, cnns,
       nLstmTrainSeqs = lstmTrainIds.size)
   }
 
   /** Trains the per-label binary-relevance classifiers over the selected
-    * feature groups and evaluates on the test matchers.
+    * feature groups, one task per label, and evaluates on the test matchers.
     */
   def fit(p: Prepared, groups: Set[String] = FeatureTable.AllGroups,
           seed: Long = 99L): FitResult = {
@@ -186,12 +192,12 @@ object MExI {
     val trainX = p.trainIds.map(id => std.transform(table.vector(id))).toIndexedSeq
     val testX = p.testIds.map(id => std.transform(table.vector(id))).toIndexedSeq
 
-    val models = Array.tabulate(Labels.Count) { l =>
+    val models = Par.map(0 until Labels.Count) { l =>
       val y = p.trainIds.map(id => p.trainLabels(id)(l)).toIndexedSeq
       ModelSelection.selectAndTrain(trainX, y, seed = seed + l)
-    }
+    }.toArray
     val preds = p.testIds.zipWithIndex.map { case (id, i) =>
-      id -> models.map(_._2.predict(testX(i)))
+      id -> models.map(_.model.predict(testX(i)))
     }.toMap
     FitResult(preds, evaluate(preds, p.testLabels), models, std, table.names)
   }

@@ -33,16 +33,23 @@ object ModelSelection {
     correct.toDouble / xs.length
   }
 
+  /** A trained classifier with the internal CV accuracy of every zoo
+    * member, in zoo order (empty for the constant model of a single-class
+    * label, which runs no CV).
+    */
+  final case class Selection(name: String, model: TrainedModel, cvScores: Vector[(String, Double)])
+
   /** Train every zoo member, keep the one with the best internal CV
-    * accuracy, then refit it on the full training set.
+    * accuracy (the first in zoo order on a tie), then refit it on the full
+    * training set.
     */
   def selectAndTrain(xs: IndexedSeq[Array[Double]], ys: IndexedSeq[Boolean],
-                     zoo: Seq[Classifier] = defaultZoo, seed: Long = 17L): (String, TrainedModel) = {
+                     zoo: Seq[Classifier] = defaultZoo, seed: Long = 17L): Selection = {
     if (ys.forall(identity) || !ys.exists(identity))
-      return ("Constant", ConstantModel(ys.count(identity).toDouble / ys.length))
-    val scored = zoo.map(c => (c, cvAccuracy(c, xs, ys, seed = seed)))
+      return Selection("Constant", ConstantModel(ys.count(identity).toDouble / ys.length), Vector.empty)
+    val scored = zoo.map(c => (c, cvAccuracy(c, xs, ys, seed = seed))).toVector
     val best = scored.maxBy(_._2)._1
-    (best.name, best.train(xs, ys, seed))
+    Selection(best.name, best.train(xs, ys, seed), scored.map { case (c, a) => c.name -> a })
   }
 
   /** Permutation importance of each feature: mean accuracy drop when the

@@ -1,8 +1,9 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.synth.MatcherSim
 
-class ExperimentsSpec extends AnyFunSuite {
+class ExperimentsSpec extends SparkSpec {
 
   test("foldSplits partitions the ids into k disjoint test folds") {
     val ids = (1L to 106L).toVector
@@ -36,5 +37,23 @@ class ExperimentsSpec extends AnyFunSuite {
     val rows = Vector(Experiments.UtilizationRow("MExI", 3, 0.8, 0.5, 0.7, 0.1, 0.9, 0.4))
     val s = Experiments.formatUtilization("U", rows)
     assert(s.contains("fusedP") && s.contains("0.90") && s.contains("0.40"))
+  }
+
+  test("a selector that keeps no matcher reports n = 0 and the fallback, marked in the table") {
+    val po = new StudyHandle(spark, MatcherSim.poStudy(nMatchers = 30, seed = 12L))
+    val thresholds = Thresholds.fromTrain(po.measures.values.toVector)
+    val noExperts = po.matcherIds.map(_ -> Array.fill(Labels.Count)(false)).toMap
+    val rows = Experiments.utilization(spark, po, noExperts, thresholds)
+    val mexi = rows.find(_.method == "MExI").get
+    val all = rows.find(_.method == "no_filter").get
+    assert(mexi.n === 0 && mexi.fallback)
+    assert(all.n === 30 && !all.fallback)
+    assert((mexi.p, mexi.r, mexi.res, mexi.absCal, mexi.fusedP, mexi.fusedR) ===
+      (all.p, all.r, all.res, all.absCal, all.fusedP, all.fusedR), "the full population's columns")
+    val table = Experiments.formatUtilization("U", rows).linesIterator.toVector
+    assert(table.exists(l => l.startsWith("MExI ") && l.contains("   0* ")))
+    assert(table.last.startsWith("* "))
+    val plain = Experiments.formatUtilization("U", rows.filterNot(_.fallback))
+    assert(!plain.contains("*"))
   }
 }

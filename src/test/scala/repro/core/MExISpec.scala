@@ -135,7 +135,7 @@ class MExISpec extends SparkSpec {
     val r = MExI.fit(fold, seed = 2L)
     val table = fold.features.select(FeatureTable.AllGroups)
     val trainPred = fold.trainIds.map { id =>
-      id -> r.models.map(_._2.predict(r.standardizer.transform(table.vector(id))))
+      id -> r.models.map(_.model.predict(r.standardizer.transform(table.vector(id))))
     }.toMap
     val trainTruth = fold.trainIds.map(id => id -> fold.trainLabels(id)).toMap
     val acc = MExI.evaluate(trainPred, trainTruth)
